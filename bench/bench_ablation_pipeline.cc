@@ -69,7 +69,7 @@ ModeRun Measure(int query, const tpch::TpchDb& db, bool fused,
 
 int main() {
   core::PrintExperimentHeader(
-      "Ablation A6",
+      "Ablation A7",
       "fused morsel pipelines vs operator-at-a-time materialization");
   bench::PrintEnvironment();
 

@@ -66,7 +66,7 @@ ModeRun Measure(int query, const tpch::TpchDb& db, int mode, int threads) {
 
 int main() {
   core::PrintExperimentHeader(
-      "Ablation A7",
+      "Ablation A8",
       "cost-based planner mode choice vs forced lowerings");
   bench::PrintEnvironment();
 

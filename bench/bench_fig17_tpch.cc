@@ -35,9 +35,11 @@ int main() {
     tpch::QueryConfig cfg;
     cfg.num_threads = threads;
     cfg.radix_bits = core::FullScale() ? 14 : 10;
-    // The paper's exhibit is the fully materializing Section 6 setup;
-    // pin the mode so the cost-based planner cannot pick fusion here.
+    // The paper's exhibit is the fully materializing Section 6 setup
+    // with RHO joins; pin both so the cost-based planner cannot pick
+    // fusion or another join flavour here.
     cfg.pipeline = false;
+    cfg.join_algo = join::JoinAlgorithm::kRho;
 
     // Native, optimized kernels.
     cfg.flavor = KernelFlavor::kUnrolledReordered;

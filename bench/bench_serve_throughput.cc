@@ -70,6 +70,13 @@ double Percentile(std::vector<double> v, double q) {
   return v[rank];
 }
 
+// Plain queries-per-second figure (FormatRel would append an "x").
+std::string FormatRate(double per_sec) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", per_sec);
+  return buf;
+}
+
 // One client's deterministic walk through the mix: 4 cheap : 2 medium :
 // 1 heavy, offset by the client id so concurrent clients interleave
 // classes instead of phase-locking.
@@ -203,8 +210,8 @@ int main() {
       }
       table.AddRow({std::to_string(clients), Classes()[cls].name,
                     std::to_string(s.total_ns.size()),
-                    core::FormatRel(static_cast<double>(s.total_ns.size()) /
-                                    wall_s),
+                    FormatRate(static_cast<double>(s.total_ns.size()) /
+                               wall_s),
                     core::FormatNanos(Percentile(s.total_ns, 0.5)),
                     core::FormatNanos(Percentile(s.total_ns, 0.99)),
                     core::FormatNanos(Percentile(s.exec_ns, 0.5)),

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/sgxbench.h"
+#include "plan/catalog.h"
 
 using namespace sgxb;
 
@@ -232,12 +233,9 @@ int RunQueryCmd(const Args& args) {
   cfg.enclave = enclave;
 
   const std::string& q = args.positional[1];
-  Result<tpch::QueryResult> r = Status::InvalidArgument("unknown query");
-  if (q == "12g") {
-    r = tpch::RunQ12Grouped(db, cfg);
-  } else {
-    r = tpch::RunQuery(std::atoi(q.c_str()), db, cfg);
-  }
+  const int number =
+      q == "12g" ? plan::kQueryQ12Grouped : std::atoi(q.c_str());
+  Result<tpch::QueryResult> r = tpch::RunQuery(number, db, cfg);
   if (!r.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  r.status().ToString().c_str());
@@ -247,7 +245,7 @@ int RunQueryCmd(const Args& args) {
   std::printf("Q%s at SF %.2f: count=%llu in %s\n", q.c_str(), args.sf,
               static_cast<unsigned long long>(r.value().count),
               core::FormatNanos(r.value().host_ns).c_str());
-  if (!r.value().group_counts.empty()) {
+  if (number == plan::kQueryQ12Grouped) {
     std::printf("  groups: high=%llu low=%llu\n",
                 static_cast<unsigned long long>(r.value().group_counts[0]),
                 static_cast<unsigned long long>(

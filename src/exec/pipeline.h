@@ -11,8 +11,8 @@
 // breakers (hash-table builds, final aggregates) write anything global.
 //
 // The driver owns the per-lane scratch and the parallel loop; the fused
-// operator chain itself is the caller's morsel body (tpch/pipelines.cc
-// composes them per query). Lanes optionally run under a ScopedEcall so
+// operator chain itself is the caller's morsel body (plan/fused.cc
+// composes them from a plan). Lanes optionally run under a ScopedEcall so
 // enclave entry is charged once per lane, exactly like the materializing
 // operators.
 
@@ -35,13 +35,6 @@ class ArenaPool;
 
 namespace sgxb::exec {
 
-/// \brief Mid-query re-decision hook (docs/adaptive.md): called between
-/// waves of an adaptive pipeline with the wave index just finished and
-/// the grain it ran at; returns the grain for the next wave (0 = keep).
-/// Runs on the dispatching thread with no workers in flight, so it may
-/// safely consult the obs registry and adjust shared knobs.
-using WaveController = std::function<size_t(int wave, size_t grain)>;
-
 struct PipelineConfig {
   /// Span / phase label ("q3.scan_orders", ...). Must outlive the run.
   const char* name = "pipeline";
@@ -57,16 +50,6 @@ struct PipelineConfig {
   /// the chunks are recycled across pipelines and queries.
   mem::MemoryResource* resource = nullptr;
   mem::ArenaPool* arena_pool = nullptr;
-  /// When set, the pipeline runs as a sequence of *waves* of
-  /// `wave_morsels` morsels per lane, invoking the controller at every
-  /// wave boundary so the morsel grain (and any knobs the controller
-  /// owns, e.g. live probe mode) can change mid-query without
-  /// invalidating results. Unset (the default) keeps the historical
-  /// single parallel loop — bit-for-bit identical scheduling.
-  WaveController wave_controller;
-  /// Morsels per lane per wave; small enough to re-decide promptly,
-  /// large enough that a wave amortizes its gang dispatch.
-  int wave_morsels = 4;
 };
 
 /// \brief Worker-local scratch for one pipeline lane: a double-buffered

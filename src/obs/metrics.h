@@ -287,17 +287,6 @@ inline constexpr char kCtrTxnVersionsRetired[] = "txn.versions_retired";
 inline constexpr char kCtrTxnVersionsReclaimed[] = "txn.versions_reclaimed";
 inline constexpr char kCtrTxnCowBytes[] = "txn.cow_bytes";
 inline constexpr char kCtrTxnReclaimedBytes[] = "txn.reclaimed_bytes";
-// Hash-probe traffic of the fused pipelines (plan/fused.cc): staged
-// probe tuples vs matches produced. Their ratio is the probe hit rate
-// the adaptive controller (src/tune/) reads per feedback frame.
-inline constexpr char kCtrProbeTuples[] = "tpch.probe_tuples";
-inline constexpr char kCtrProbeMatches[] = "tpch.probe_matches";
-// Adaptive self-tuning controller (src/tune/, docs/adaptive.md):
-// per-query knob decisions, mid-query guardrail switches, and tuning-
-// cache exploitation hits.
-inline constexpr char kCtrTuneDecisions[] = "tune.decisions";
-inline constexpr char kCtrTuneSwitches[] = "tune.switches";
-inline constexpr char kCtrTuneCacheHits[] = "tune.cache_hits";
 inline constexpr char kHistMutexParkNs[] = "sgx.mutex_park_ns";
 inline constexpr char kHistTxnCommitNs[] = "txn.commit_ns";
 inline constexpr char kHistEdmmCommitNs[] = "sgx.edmm_commit_ns";

@@ -55,18 +55,6 @@ std::string QueryReport::ToJson() const {
   std::snprintf(buf, sizeof(buf), ", \"pool_hit_rate\": %.4f",
                 PoolHitRate());
   out += buf;
-  if (tuning.active) {
-    out += ", \"tuning\": {\"fused\": ";
-    out += tuning.fused ? "true" : "false";
-    out += ", \"probe_mode\": \"" + tuning.probe_mode + "\"";
-    out += ", \"probe_batch\": " + std::to_string(tuning.probe_batch);
-    out += ", \"morsel_grain\": " + std::to_string(tuning.morsel_grain);
-    out += ", \"source\": \"" + tuning.source + "\"";
-    out += ", \"decisions\": " + std::to_string(tuning.decisions);
-    out += ", \"switches\": " + std::to_string(tuning.switches);
-    out += ", \"cache_hits\": " + std::to_string(tuning.cache_hits);
-    out += "}";
-  }
   out += ", \"phases\": [";
   for (size_t i = 0; i < phases.size(); ++i) {
     if (i > 0) out += ", ";
@@ -139,19 +127,6 @@ std::string QueryReport::ToString() const {
                   static_cast<unsigned long long>(txn_versions_retired),
                   static_cast<unsigned long long>(txn_cow_bytes),
                   static_cast<unsigned long long>(txn_reclaimed_bytes));
-    out += buf;
-  }
-  if (tuning.active) {
-    std::snprintf(buf, sizeof(buf),
-                  "  tuning: %s probe=%s x%d grain=%llu (%s), "
-                  "%llu decisions, %llu switches, %llu cache hits\n",
-                  tuning.fused ? "fused" : "materializing",
-                  tuning.probe_mode.c_str(), tuning.probe_batch,
-                  static_cast<unsigned long long>(tuning.morsel_grain),
-                  tuning.source.c_str(),
-                  static_cast<unsigned long long>(tuning.decisions),
-                  static_cast<unsigned long long>(tuning.switches),
-                  static_cast<unsigned long long>(tuning.cache_hits));
     out += buf;
   }
   return out;

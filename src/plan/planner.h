@@ -4,8 +4,9 @@
 // the paper's materializing operator-at-a-time path (tpch/operators.h)
 // or a chain of fused RunMorselPipeline stages (exec/pipeline.h) — and,
 // per join node, a join flavour (RHO / PHT / CHT) plus probe scheduling.
-// Decisions come from explicit config first, then the SGXBENCH_* knobs,
-// then the calibrated cost model (perf/cost_model.h) evaluated over
+// Decisions come from explicit config first (QueryConfig::pipeline,
+// join_algo, probe_mode), then the SGXBENCH_PIPELINE / probe knobs, then
+// the calibrated cost model (perf/cost_model.h) evaluated over
 // cardinality estimates from the bound database view.
 //
 // Compiled into sgxb_tpch (it drives the tpch operators); the plan IR
@@ -21,10 +22,6 @@
 #include "join/join_common.h"
 #include "plan/plan.h"
 #include "tpch/queries.h"
-
-namespace sgxb::tune {
-class QueryTuner;
-}
 
 namespace sgxb::plan {
 
@@ -55,18 +52,7 @@ struct PlanDecisions {
   std::vector<double> est_rows;
   /// Join flavour decision per node (meaningful at kJoin nodes).
   std::vector<JoinChoice> joins;
-  /// Set by ExecutePlan when SGXBENCH_ADAPTIVE is on: the query's
-  /// adaptive controller (src/tune/). The fused lowering reads its live
-  /// knobs per morsel and attaches its wave controller; null (the
-  /// default) keeps the static behaviour bit-for-bit.
-  tune::QueryTuner* tuner = nullptr;
 };
-
-/// \brief True when the planner itself (cost-based mode and flavour
-/// choice) is enabled: SGXBENCH_PLANNER, default on. Off = the legacy
-/// behaviour (materializing unless the pipeline knob says otherwise; all
-/// joins RHO).
-bool PlannerEnabled();
 
 /// \brief Computes every lowering decision for `plan` bound to `db`
 /// under `config`. Deterministic; does not execute anything.

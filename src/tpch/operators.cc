@@ -142,10 +142,6 @@ mem::MemoryResource* EffectiveResource(const QueryConfig& config) {
   return mem::ResourceFor(config.setting, config.enclave);
 }
 
-bool PipelineEnabled(const QueryConfig& config) {
-  return ResolveKnob(config.pipeline, EnvBoolOpt("SGXBENCH_PIPELINE"), false);
-}
-
 QueryConfig ResolvedQueryConfig(const QueryConfig& config) {
   QueryConfig r = config;
   // Pin the pipeline choice only when something actually chose: an
@@ -453,7 +449,7 @@ Result<Relation> GatherKeys(storage::ColumnView<uint32_t> keys,
 namespace {
 
 // The planner's join-flavour dispatch: RHO unless the cost model (or
-// SGXBENCH_JOIN_ALGO) picked the shared-table or concise alternative.
+// QueryConfig::join_algo) picked the shared-table or concise alternative.
 Result<join::JoinResult> DispatchJoin(join::JoinAlgorithm algo,
                                       const Relation& build,
                                       const Relation& probe,

@@ -48,17 +48,19 @@ struct QueryConfig {
   /// Fused, morsel-driven execution (docs/pipelines.md): run each query
   /// as a short DAG of pipelines with per-morsel selection vectors
   /// instead of the paper's operator-at-a-time materialization. Unset =
-  /// SGXBENCH_PIPELINE (default off, preserving the paper's semantics).
+  /// SGXBENCH_PIPELINE if set, else the planner's cost-based choice
+  /// (docs/planner.md).
   std::optional<bool> pipeline;
+  /// Join flavour for every join of the plan; unset = the planner's
+  /// per-join cost-based choice. `pipeline = false` plus kRho is the
+  /// paper's Section 6 setup (materializing operators, RHO joins).
+  std::optional<join::JoinAlgorithm> join_algo;
   /// Metrics attribution domain for this query's report (see
   /// Registry::AcquireDomain in obs/metrics.h); -1 = unattributed, the
   /// report diffs the process-global registry. Set by the serving layer so
   /// concurrent queries get disjoint QueryReports.
   int obs_domain = -1;
 };
-
-/// \brief Resolves QueryConfig::pipeline against SGXBENCH_PIPELINE.
-bool PipelineEnabled(const QueryConfig& config);
 
 /// \brief Returns `config` with every env-defaulted knob pinned to its
 /// current resolved value: pipeline (SGXBENCH_PIPELINE), probe_mode

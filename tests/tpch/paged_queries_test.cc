@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "obs/query_report.h"
+#include "plan/catalog.h"
 #include "storage/buffer_manager.h"
 #include "tpch/paged_db.h"
 #include "tpch/queries.h"
@@ -90,9 +91,9 @@ TEST(PagedQueryTest, Q12GroupedPagedMatchesResident) {
     QueryConfig cfg;
     cfg.num_threads = 4;
     cfg.pipeline = fused;
-    auto resident = RunQ12Grouped(w.db, cfg);
+    auto resident = RunQuery(plan::kQueryQ12Grouped, w.db, cfg);
     ASSERT_TRUE(resident.ok()) << resident.status().ToString();
-    auto paged = RunQ12Grouped(w.paged.View(), cfg);
+    auto paged = RunQuery(plan::kQueryQ12Grouped, w.paged.View(), cfg);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
     EXPECT_EQ(paged.value().count, resident.value().count) << fused;
     EXPECT_EQ(paged.value().group_counts, resident.value().group_counts)
