@@ -1,5 +1,5 @@
-// Ablation: the arena memory subsystem under repeated queries against one
-// long-lived enclave (docs/memory.md).
+// Ablation A6: the arena memory subsystem under repeated queries against
+// one long-lived enclave (docs/memory.md).
 //
 // Sweeps {fresh-alloc, arena, arena+pool} x {static, dynamic-EDMM}. Every
 // configuration runs the same RHO join (materialized output) several times
@@ -20,7 +20,6 @@
 // the CSV artifact; headline numbers need a normal run.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@
 using namespace sgxb;
 
 namespace {
-
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
 
 struct AllocMode {
   const char* label;
@@ -54,17 +51,17 @@ struct SteadyState {
 
 int main() {
   core::PrintExperimentHeader(
-      "Ablation: arena memory subsystem",
+      "Ablation A6",
       "repeated RHO joins in one long-lived enclave: fresh-alloc vs "
       "arena vs arena+pool, static vs dynamic-EDMM sizing");
   bench::PrintEnvironment();
 
   const size_t build_tuples = BytesToTuples(
-      SmokeMode() ? size_t{1_MiB} : core::ScaledBytes(25_MiB));
+      bench::SmokeMode() ? size_t{1_MiB} : core::ScaledBytes(25_MiB));
   const size_t probe_tuples = BytesToTuples(
-      SmokeMode() ? size_t{4_MiB} : core::ScaledBytes(100_MiB));
-  const int queries = SmokeMode() ? 3 : 6;
-  const int threads = SmokeMode() ? 2 : bench::HostThreads(8);
+      bench::SmokeMode() ? size_t{4_MiB} : core::ScaledBytes(100_MiB));
+  const int queries = bench::SmokeMode() ? 3 : 6;
+  const int threads = bench::SmokeMode() ? 2 : bench::HostThreads(8);
 
   // Inputs stay untrusted (the paper's data-outside storage); everything
   // the join allocates — partitions, hash tables, materialized output —

@@ -1,4 +1,4 @@
-// Ablation: persistent work-stealing executor vs per-call thread spawn.
+// Ablation A10: persistent work-stealing executor vs per-call thread spawn.
 //
 // Two claims are measured. First, a persistent pool amortizes thread
 // creation: operators such as the radix joins dispatch many short gangs
@@ -36,7 +36,7 @@ double TimeDispatches(int threads, int dispatches) {
 
 int main() {
   core::PrintExperimentHeader(
-      "Ablation A4", "persistent executor vs per-dispatch thread spawn");
+      "Ablation A10", "persistent executor vs per-dispatch thread spawn");
   bench::PrintEnvironment();
 
   // Not capped at the host's cores: the point is dispatch overhead (thread

@@ -25,7 +25,6 @@
 // gate applies in both modes.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,8 +36,6 @@
 using namespace sgxb;
 
 namespace {
-
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
 
 // 64-bit mix (splitmix64 finalizer): turns the loop counter into an
 // out-of-cache index stream without a dependent pointer chase.
@@ -103,9 +100,11 @@ int main() {
   // Table comfortably past LLC so every probe is a memory access; the
   // chase is latency-bound, so far fewer probes suffice than a streaming
   // loop would need.
-  const size_t table_bytes = SmokeMode() ? size_t{64_MiB} : size_t{256_MiB};
-  const size_t probes = SmokeMode() ? (size_t{1} << 21) : (size_t{1} << 23);
-  const int reps = SmokeMode() ? 3 : 5;
+  const size_t table_bytes =
+      bench::SmokeMode() ? size_t{64_MiB} : size_t{256_MiB};
+  const size_t probes =
+      bench::SmokeMode() ? (size_t{1} << 21) : (size_t{1} << 23);
+  const int reps = bench::SmokeMode() ? 3 : 5;
 
   // One full cycle through the table in shuffled order (Sattolo), so the
   // chase visits every slot with no short loops.

@@ -26,8 +26,6 @@ using namespace sgxb;
 
 namespace {
 
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
-
 struct ModeRun {
   uint64_t count = 0;
   uint64_t bytes = 0;   // tpch.bytes_materialized delta
@@ -75,7 +73,7 @@ int main() {
 
   tpch::GenConfig gen;
   gen.scale_factor =
-      SmokeMode() ? 0.01 : (core::FullScale() ? 10.0 : 0.1);
+      bench::SmokeMode() ? 0.01 : (core::FullScale() ? 10.0 : 0.1);
   std::printf("  generating TPC-H data at SF %.2f ...\n",
               gen.scale_factor);
   tpch::TpchDb db = tpch::Generate(gen).value();
@@ -147,7 +145,7 @@ int main() {
                  "as its materializing counterpart\n");
     return 1;
   }
-  if (!SmokeMode() && best_join_speedup <= 1.0) {
+  if (!bench::SmokeMode() && best_join_speedup <= 1.0) {
     std::fprintf(stderr,
                  "FAIL: no multi-join query sped up in-enclave under "
                  "fusion\n");

@@ -29,8 +29,6 @@ using namespace sgxb;
 
 namespace {
 
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
-
 struct ModeRun {
   uint64_t count = 0;
   double native_ns = 0;
@@ -71,7 +69,8 @@ int main() {
   bench::PrintEnvironment();
 
   tpch::GenConfig gen;
-  gen.scale_factor = SmokeMode() ? 0.01 : (core::FullScale() ? 10.0 : 0.1);
+  gen.scale_factor =
+      bench::SmokeMode() ? 0.01 : (core::FullScale() ? 10.0 : 0.1);
   std::printf("  generating TPC-H data at SF %.2f ...\n", gen.scale_factor);
   tpch::TpchDb db = tpch::Generate(gen).value();
   std::printf("  lineitem: %zu rows\n", db.lineitem.num_rows);
@@ -134,7 +133,7 @@ int main() {
     std::fprintf(stderr, "FAIL: query results differ across modes\n");
     return 1;
   }
-  if (!SmokeMode() && worst_ratio < 0.95) {
+  if (!bench::SmokeMode() && worst_ratio < 0.95) {
     std::fprintf(stderr,
                  "FAIL: planner-chosen mode fell below 0.95x the best "
                  "forced lowering (%s: %.2fx)\n",

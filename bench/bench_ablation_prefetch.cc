@@ -1,4 +1,4 @@
-// Ablation: latency-hiding probe pipelines (docs/prefetching.md).
+// Ablation A11: latency-hiding probe pipelines (docs/prefetching.md).
 //
 // Sweeps probe scheduling (tuple-at-a-time vs group prefetching vs AMAC)
 // x batch size / prefetch distance x build-side size over the four probe
@@ -14,7 +14,6 @@
 // CI runs the same binary with SGXBENCH_SMOKE=1 (tiny inputs, two
 // widths) purely as a code-path and artifact check.
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@
 using namespace sgxb;
 
 namespace {
-
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
 
 struct Workload {
   const char* label;  // "in-cache" / "out-of-cache"
@@ -81,7 +78,7 @@ double InCacheJoinNs(const Workload& w, exec::ProbeMode mode, int width) {
 
 int main() {
   core::PrintExperimentHeader(
-      "Ablation A5",
+      "Ablation A11",
       "latency-hiding probe pipelines: mode x width x build size");
   bench::PrintEnvironment();
 
@@ -89,9 +86,9 @@ int main() {
   // on any recent host (at CI scale the PHT table is ~50 MB). Probe is
   // 4x the build side, like the paper's 100/400 MB join inputs.
   const size_t in_cache_build =
-      SmokeMode() ? 4096 : BytesToTuples(256_KiB);
+      bench::SmokeMode() ? 4096 : BytesToTuples(256_KiB);
   const size_t out_of_cache_build =
-      SmokeMode() ? 16384 : BytesToTuples(core::ScaledBytes(100_MiB));
+      bench::SmokeMode() ? 16384 : BytesToTuples(core::ScaledBytes(100_MiB));
 
   std::vector<Workload> workloads;
   for (auto [label, build_n] :
@@ -119,8 +116,8 @@ int main() {
       {"RHO-incache", nullptr},
   };
   const std::vector<int> widths =
-      SmokeMode() ? std::vector<int>{8, 16}
-                  : std::vector<int>{4, 8, 16, 32, 64};
+      bench::SmokeMode() ? std::vector<int>{8, 16}
+                         : std::vector<int>{4, 8, 16, 32, 64};
 
   core::TablePrinter table({"path", "build side", "mode", "width",
                             "probe time", "throughput",

@@ -46,8 +46,6 @@ using namespace sgxb;
 
 namespace {
 
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
-
 // Same fault pricing as bench_ext_epc_paging's SGXv1 model.
 constexpr double kFaultNs = 40000.0;
 constexpr double kPageBytes = 4096.0;
@@ -155,7 +153,7 @@ int main() {
 
   tpch::GenConfig gen;
   gen.scale_factor =
-      SmokeMode() ? 0.01 : (core::FullScale() ? 10.0 : 0.05);
+      bench::SmokeMode() ? 0.01 : (core::FullScale() ? 10.0 : 0.05);
   std::printf("  generating TPC-H data at SF %.2f ...\n",
               gen.scale_factor);
   tpch::TpchDb db = tpch::Generate(gen).value();
@@ -286,9 +284,9 @@ int main() {
   }
   if (comp_wall_sum >= raw_wall_sum) {
     std::printf("  GATE %s: compressed spill not faster end-to-end "
-                "(%.2fx)\n", SmokeMode() ? "WARN" : "FAIL",
+                "(%.2fx)\n", bench::SmokeMode() ? "WARN" : "FAIL",
                 raw_wall_sum / comp_wall_sum);
-    if (!SmokeMode()) pass = false;
+    if (!bench::SmokeMode()) pass = false;
   } else {
     std::printf("  GATE PASS: compressed spill %.2fx faster end-to-end "
                 "under EPC pressure\n", raw_wall_sum / comp_wall_sum);

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +34,6 @@
 using namespace sgxb;
 
 namespace {
-
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
 
 struct QueryClass {
   const char* name;
@@ -75,24 +72,23 @@ int main() {
   bench::PrintEnvironment();
 
   tpch::GenConfig gen;
-  gen.scale_factor = SmokeMode() ? 0.01 : (core::FullScale() ? 1.0 : 0.1);
+  gen.scale_factor =
+      bench::SmokeMode() ? 0.01 : (core::FullScale() ? 1.0 : 0.1);
   std::printf("  generating TPC-H data at SF %.2f ...\n", gen.scale_factor);
   tpch::TpchDb db = tpch::Generate(gen).value();
 
   // Three update rates per the experiment design; smoke keeps the shape
   // (read-only baseline, moderate, heavy) at CI-friendly magnitudes.
   const std::vector<double> rates =
-      SmokeMode() ? std::vector<double>{0, 2000, 10000}
-                  : std::vector<double>{0, 10000, 100000};
-  const int reps = SmokeMode() ? 3 : 9;
+      bench::SmokeMode() ? std::vector<double>{0, 2000, 10000}
+                         : std::vector<double>{0, 10000, 100000};
+  const int reps = bench::SmokeMode() ? 3 : 9;
 
-  txn::UpdateFeedOptions feed_opts = txn::UpdateFeedOptions::FromEnv();
-  // Bench defaults where the env knobs are silent: enough writers to
-  // contend the latch, moderate skew so hot chunks exist.
-  if (std::getenv("SGXBENCH_TXN_FEED_THREADS") == nullptr) {
-    feed_opts.threads = SmokeMode() ? 2 : 4;
-  }
-  if (feed_opts.zipf_theta == 0) feed_opts.zipf_theta = 0.5;
+  // Enough writers to contend the latch, moderate skew so hot chunks
+  // exist.
+  txn::UpdateFeedOptions feed_opts;
+  feed_opts.threads = bench::SmokeMode() ? 2 : 4;
+  feed_opts.zipf_theta = 0.5;
 
   tpch::QueryConfig base_config;
   base_config.num_threads =
@@ -100,7 +96,7 @@ int main() {
 
   std::printf("  feed: threads=%d theta=%.2f chunk_rows=%zu\n",
               feed_opts.threads, feed_opts.zipf_theta,
-              txn::TxnOptions::FromEnv().chunk_rows);
+              txn::TxnOptions().chunk_rows);
 
   core::TablePrinter table(
       {"rate/s", "class", "runs", "p50", "p99", "slowdown", "parks/q",
@@ -122,7 +118,7 @@ int main() {
   bool gate_failed = false;
 
   for (const double rate : rates) {
-    txn::VersionedTpchDb vdb(db, txn::TxnOptions::FromEnv());
+    txn::VersionedTpchDb vdb(db, txn::TxnOptions());
     obs::Registry& registry = obs::Registry::Global();
 
     // The feed gets its own attribution domain so its share of the latch
@@ -140,7 +136,7 @@ int main() {
       // smoke queries alone finish in milliseconds, far too short a
       // window to judge the achieved rate.
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(SmokeMode() ? 300 : 2000));
+          std::chrono::milliseconds(bench::SmokeMode() ? 300 : 2000));
     }
 
     for (size_t c = 0; c < Classes().size(); ++c) {

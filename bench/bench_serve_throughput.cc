@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,8 +34,6 @@
 using namespace sgxb;
 
 namespace {
-
-bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
 
 struct QueryClass {
   const char* name;
@@ -95,24 +92,22 @@ int main() {
   bench::PrintEnvironment();
 
   tpch::GenConfig gen;
-  gen.scale_factor = SmokeMode() ? 0.01 : (core::FullScale() ? 1.0 : 0.1);
+  gen.scale_factor =
+      bench::SmokeMode() ? 0.01 : (core::FullScale() ? 1.0 : 0.1);
   std::printf("  generating TPC-H data at SF %.2f ...\n", gen.scale_factor);
   tpch::TpchDb db = tpch::Generate(gen).value();
 
-  serve::ServerOptions opts = serve::ServerOptions::FromEnv();
-  if (opts.worker_share == 0) {
-    // Default worker share for the bench: a quarter of the host, so even
-    // a heavy query leaves three quarters of the pool to others.
-    opts.worker_share =
-        std::max(1, exec::Executor::DefaultParallelism() / 4);
-  }
+  serve::ServerOptions opts;
+  // Worker share for the bench: a quarter of the host, so even a heavy
+  // query leaves three quarters of the pool to others.
+  opts.worker_share = std::max(1, exec::Executor::DefaultParallelism() / 4);
   opts.max_queue = 1 << 20;  // measure scheduling, not admission drops
   std::printf("  max_inflight=%d worker_share=%d\n", opts.max_inflight,
               opts.worker_share);
 
   const std::vector<int> client_counts =
-      SmokeMode() ? std::vector<int>{1, 8}
-                  : std::vector<int>{1, 8, 64, 256, 1000};
+      bench::SmokeMode() ? std::vector<int>{1, 8}
+                         : std::vector<int>{1, 8, 64, 256, 1000};
 
   // Phase A: isolated per-class baselines (one query at a time through
   // the same server configuration).
@@ -121,7 +116,7 @@ int main() {
     serve::QueryServer server(db, opts);
     for (size_t c = 0; c < Classes().size(); ++c) {
       std::vector<double> exec_ns;
-      const int reps = SmokeMode() ? 3 : 9;
+      const int reps = bench::SmokeMode() ? 3 : 9;
       for (int rep = 0; rep < reps; ++rep) {
         for (int query : Classes()[c].queries) {
           serve::QueryRequest req;
@@ -152,7 +147,7 @@ int main() {
     // Keep total work bounded as the client count grows: the point of
     // the high-client runs is queueing behaviour, not more samples.
     const int per_client =
-        SmokeMode() ? 4 : std::max(2, 512 / std::max(1, clients));
+        bench::SmokeMode() ? 4 : std::max(2, 512 / std::max(1, clients));
 
     std::vector<ClassSeries> series(Classes().size());
     std::mutex series_mu;

@@ -17,11 +17,16 @@
 #define SGXB_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 
 #include "core/sgxbench.h"
 
 namespace sgxb::bench {
+
+/// \brief SGXBENCH_SMOKE is set: the ablation and serving benches shrink
+/// to tiny inputs (a CI code-path check) and skip their speed gates.
+inline bool SmokeMode() { return std::getenv("SGXBENCH_SMOKE") != nullptr; }
 
 /// \brief The paper's canonical join input: 100 MB build, 400 MB probe
 /// (Figure 1/3/6/8), scaled for the host.

@@ -1,13 +1,14 @@
 // Typed environment-variable parsing for the SGXBENCH_* knob family.
 //
-// Every subsystem used to hand-roll its own std::getenv + strtoull parse,
-// each with slightly different malformed-input behaviour (silently ignored,
-// clamped, or accepted as garbage). These helpers centralize the contract:
-// a knob either parses cleanly inside its valid range and is used, or the
-// fallback applies and a warning is printed once per variable. Warnings go
-// straight to stderr (not SGXB_LOG) because the logging level itself is an
-// env knob — routing through the logger would recurse during its first
-// initialization.
+// The environment carries only output, diagnostic and run-shape switches
+// (trace/stats/CSV paths, EXPLAIN, log level, injection off, repetitions,
+// paper scale; README.md lists them). Engine settings come from their
+// option structs (tpch::QueryConfig, serve::ServerOptions, ...) and are
+// never read here. The contract: a knob either parses cleanly inside its
+// valid range and is used, or the fallback applies and a warning is
+// printed once per variable. Warnings go straight to stderr (not SGXB_LOG)
+// because the logging level itself is an env knob — routing through the
+// logger would recurse during its first initialization.
 
 #ifndef SGXB_COMMON_ENV_H_
 #define SGXB_COMMON_ENV_H_
@@ -32,33 +33,10 @@ int64_t EnvInt(const char* name, int64_t fallback,
 uint64_t EnvUint(const char* name, uint64_t fallback,
                  uint64_t lo = 0, uint64_t hi = UINT64_MAX);
 
-/// \brief Floating-point knob in [lo, hi] (calibration overrides).
-double EnvDouble(const char* name, double fallback, double lo, double hi);
-
 /// \brief Boolean knob: "1"/"true"/"on"/"yes" -> true, "0"/"false"/"off"/
 /// "no" -> false (case-insensitive). Unset -> fallback; anything else ->
 /// fallback with a one-time warning.
 bool EnvBool(const char* name, bool fallback);
-
-/// \brief Tri-state boolean knob: nullopt when unset OR malformed (with
-/// the one-time warning), so a garbage value falls through to whatever
-/// the caller's next precedence tier is instead of silently forcing one
-/// branch. This is the form knob *resolvers* want; EnvBool stays for
-/// call-sites with a fixed default.
-std::optional<bool> EnvBoolOpt(const char* name);
-
-/// \brief The one knob-precedence rule every layer must share:
-/// explicit per-call config beats the environment beats the computed
-/// fallback. tpch::ResolvedQueryConfig and the planner used to each
-/// re-implement this with subtly different tie-breaking; route every
-/// config-vs-env knob through here instead.
-template <typename T>
-T ResolveKnob(const std::optional<T>& config_value,
-              const std::optional<T>& env_value, T fallback) {
-  if (config_value.has_value()) return *config_value;
-  if (env_value.has_value()) return *env_value;
-  return fallback;
-}
 
 namespace internal {
 /// \brief Emits the malformed-knob warning at most once per variable name

@@ -80,9 +80,9 @@ enum class DispatchMode {
   kSpawn = 1,
 };
 
-/// \brief Process-wide dispatch mode. Defaults to kPool; the environment
-/// variable SGXBENCH_EXECUTOR=spawn flips the initial value, and benchmarks
-/// may switch it at runtime (takes effect for subsequent gangs).
+/// \brief Process-wide dispatch mode. Defaults to kPool; the executor
+/// ablation and its tests switch it at runtime (takes effect for
+/// subsequent gangs).
 DispatchMode dispatch_mode();
 void SetDispatchMode(DispatchMode mode);
 
@@ -146,7 +146,7 @@ class Executor {
   int GrantedGangSize(int want);
 
   /// \brief Hard cap applied by GrantedGangSize (0 = uncapped). Set by
-  /// the serving layer from SGXBENCH_SERVE_WORKER_SHARE so no single
+  /// the serving layer from ServerOptions::worker_share so no single
   /// query's elastic gangs exceed its worker share while serving.
   void SetMaxWorkersPerGang(int cap);
   int max_workers_per_gang() const;

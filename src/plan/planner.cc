@@ -312,15 +312,11 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
 
   EstimateModeCosts(plan, db, config, &d);
 
-  // Execution mode: explicit config wins, then SGXBENCH_PIPELINE if the
-  // user set it (a malformed value warns once and is treated as unset),
-  // then the cost model. Plans the fused lowering cannot drive (a join
-  // probing a non-scan) always materialize.
-  const std::optional<bool> forced_mode = config.pipeline.has_value()
-                                              ? config.pipeline
-                                              : EnvBoolOpt("SGXBENCH_PIPELINE");
-  if (forced_mode.has_value()) {
-    d.fused = *forced_mode;
+  // Execution mode: explicit config wins, then the cost model. Plans the
+  // fused lowering cannot drive (a join probing a non-scan) always
+  // materialize.
+  if (config.pipeline.has_value()) {
+    d.fused = *config.pipeline;
   } else if (FusedLowerable(plan)) {
     d.fused = d.fused_cost_ns < d.materializing_cost_ns;
     d.mode_cost_based = true;

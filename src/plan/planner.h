@@ -5,9 +5,9 @@
 // or a chain of fused RunMorselPipeline stages (exec/pipeline.h) — and,
 // per join node, a join flavour (RHO / PHT / CHT) plus probe scheduling.
 // Decisions come from explicit config first (QueryConfig::pipeline,
-// join_algo, probe_mode), then the SGXBENCH_PIPELINE / probe knobs, then
-// the calibrated cost model (perf/cost_model.h) evaluated over
-// cardinality estimates from the bound database view.
+// join_algo, probe_mode), then the calibrated cost model
+// (perf/cost_model.h) evaluated over cardinality estimates from the bound
+// database view.
 //
 // Compiled into sgxb_tpch (it drives the tpch operators); the plan IR
 // itself (sgxb_plan) stays free of execution dependencies.

@@ -140,11 +140,6 @@ class BufferManager {
     uint64_t mee_key = 0x5367785632204d45ull;
   };
 
-  /// \brief Config with SGXBENCH_BUFFER_BYTES, SGXBENCH_PARTITION_ROWS,
-  /// SGXBENCH_SPILL_COMPRESS, and SGXBENCH_SPILL_PREFETCH applied over the
-  /// defaults.
-  static Config ConfigFromEnv();
-
   explicit BufferManager(const Config& config);
   ~BufferManager();
 

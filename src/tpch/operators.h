@@ -48,8 +48,7 @@ struct QueryConfig {
   /// Fused, morsel-driven execution (docs/pipelines.md): run each query
   /// as a short DAG of pipelines with per-morsel selection vectors
   /// instead of the paper's operator-at-a-time materialization. Unset =
-  /// SGXBENCH_PIPELINE if set, else the planner's cost-based choice
-  /// (docs/planner.md).
+  /// the planner's cost-based choice (docs/planner.md).
   std::optional<bool> pipeline;
   /// Join flavour for every join of the plan; unset = the planner's
   /// per-join cost-based choice. `pipeline = false` plus kRho is the
@@ -61,15 +60,6 @@ struct QueryConfig {
   /// concurrent queries get disjoint QueryReports.
   int obs_domain = -1;
 };
-
-/// \brief Returns `config` with every env-defaulted knob pinned to its
-/// current resolved value: pipeline (SGXBENCH_PIPELINE), probe_mode
-/// (SGXBENCH_PROBE_MODE / flavor default) and probe_batch (calibrated).
-/// The serving layer calls this once at admission so a query's plan does
-/// not depend on getenv() calls racing deep inside operators while other
-/// queries run — and so two queries admitted under different settings
-/// keep the settings they were admitted with.
-QueryConfig ResolvedQueryConfig(const QueryConfig& config);
 
 /// \brief Adds `bytes` to the tpch.bytes_materialized counter (surfaced
 /// per query as QueryReport::bytes_materialized). Operators call this for

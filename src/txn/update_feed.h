@@ -40,10 +40,6 @@ struct UpdateFeedOptions {
   /// Attribution domain for the feed's parks / COW counters (-1 = none);
   /// lets the bench separate feed-side from query-side avalanche cost.
   int obs_domain = -1;
-
-  /// \brief SGXBENCH_TXN_FEED_RPS / SGXBENCH_TXN_SKEW /
-  /// SGXBENCH_TXN_FEED_THREADS over the defaults above.
-  static UpdateFeedOptions FromEnv();
 };
 
 class UpdateFeed {

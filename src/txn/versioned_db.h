@@ -71,9 +71,6 @@ struct TxnOptions {
   /// O(1) per commit since the retire list is epoch-ordered). Disable for
   /// tests that want to stage reclamation explicitly.
   bool reclaim_on_commit = true;
-
-  /// \brief SGXBENCH_TXN_CHUNK_ROWS over the defaults above.
-  static TxnOptions FromEnv();
 };
 
 /// \brief Monotonic write-path counters (process-lifetime totals for this

@@ -75,15 +75,6 @@ TEST(EnvTest, UintParsesAndRejectsNegative) {
   EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
 }
 
-TEST(EnvTest, DoubleParsesAndValidatesRange) {
-  EnvGuard g("SGXB_TEST_DBL_OK", "2.5");
-  EXPECT_DOUBLE_EQ(EnvDouble("SGXB_TEST_DBL_OK", 1.0, 0.0, 10.0), 2.5);
-  EnvGuard bad("SGXB_TEST_DBL_RANGE", "-2.5");
-  const uint64_t warnings = internal::EnvWarningCount();
-  EXPECT_DOUBLE_EQ(EnvDouble("SGXB_TEST_DBL_RANGE", 1.0, 0.0, 10.0), 1.0);
-  EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
-}
-
 TEST(EnvTest, BoolAcceptsTheDocumentedTokens) {
   const char* kTrue[] = {"1", "true", "on", "yes", "TRUE", "On", "YES"};
   const char* kFalse[] = {"0", "false", "off", "no", "FALSE", "Off", "NO"};
@@ -105,65 +96,6 @@ TEST(EnvTest, BoolUnsetAndMalformed) {
   const uint64_t warnings = internal::EnvWarningCount();
   EXPECT_TRUE(EnvBool("SGXB_TEST_BOOL_BAD", true));
   EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
-}
-
-TEST(EnvTest, BoolOptDistinguishesUnsetSetAndMalformed) {
-  ::unsetenv("SGXB_TEST_BOOLOPT_UNSET");
-  EXPECT_FALSE(EnvBoolOpt("SGXB_TEST_BOOLOPT_UNSET").has_value());
-  {
-    EnvGuard g("SGXB_TEST_BOOLOPT_ON", "on");
-    const std::optional<bool> v = EnvBoolOpt("SGXB_TEST_BOOLOPT_ON");
-    ASSERT_TRUE(v.has_value());
-    EXPECT_TRUE(*v);
-  }
-  {
-    EnvGuard g("SGXB_TEST_BOOLOPT_OFF", "0");
-    const std::optional<bool> v = EnvBoolOpt("SGXB_TEST_BOOLOPT_OFF");
-    ASSERT_TRUE(v.has_value());
-    EXPECT_FALSE(*v);
-  }
-  {
-    // A malformed value is *unset* (plus a warning), not a forced
-    // fallback — so downstream ResolveKnob precedence falls through to
-    // the next layer (e.g. the planner's cost model).
-    EnvGuard g("SGXB_TEST_BOOLOPT_BAD", "sideways");
-    const uint64_t warnings = internal::EnvWarningCount();
-    EXPECT_FALSE(EnvBoolOpt("SGXB_TEST_BOOLOPT_BAD").has_value());
-    EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
-  }
-}
-
-TEST(EnvTest, ResolveKnobPrecedenceIsConfigEnvFallback) {
-  // All three layers present: config wins.
-  EXPECT_TRUE(ResolveKnob<bool>(true, false, false));
-  EXPECT_EQ(ResolveKnob<int>(7, 5, 3), 7);
-  // Config silent: env wins.
-  EXPECT_FALSE(ResolveKnob<bool>(std::nullopt, false, true));
-  EXPECT_EQ(ResolveKnob<int>(std::nullopt, 5, 3), 5);
-  // Both silent: fallback.
-  EXPECT_TRUE(ResolveKnob<bool>(std::nullopt, std::nullopt, true));
-  EXPECT_EQ(ResolveKnob<int>(std::nullopt, std::nullopt, 3), 3);
-  // A config value of false still beats env true (presence, not truth,
-  // decides precedence).
-  EXPECT_FALSE(ResolveKnob<bool>(false, true, true));
-}
-
-TEST(EnvTest, ResolveKnobDrivesEnvBoolOptEndToEnd) {
-  // The shared-resolver contract for a config-vs-env knob:
-  // ResolveKnob(config.pipeline, EnvBoolOpt(...), false).
-  {
-    EnvGuard g("SGXB_TEST_RESOLVE_PIPE", "1");
-    EXPECT_TRUE(ResolveKnob<bool>(std::nullopt,
-                                  EnvBoolOpt("SGXB_TEST_RESOLVE_PIPE"),
-                                  false));
-    EXPECT_FALSE(ResolveKnob<bool>(false,
-                                   EnvBoolOpt("SGXB_TEST_RESOLVE_PIPE"),
-                                   false));
-  }
-  ::unsetenv("SGXB_TEST_RESOLVE_PIPE");
-  EXPECT_FALSE(ResolveKnob<bool>(std::nullopt,
-                                 EnvBoolOpt("SGXB_TEST_RESOLVE_PIPE"),
-                                 false));
 }
 
 }  // namespace

@@ -22,23 +22,37 @@
 namespace sgxb::tpch {
 namespace {
 
-// One shared paged database: SF 0.01 (~60k lineitem rows, ~2.4 MB of
-// columns) through a 768 KiB pool with 4096-row partitions, so scans
-// cross many partition boundaries and the clock evicts continuously.
-struct PagedWorld {
-  TpchDb db;
+// SF 0.01 (~60k lineitem rows, ~2.4 MB of columns) paged through a
+// 768 KiB pool with 4096-row partitions, so scans cross many partition
+// boundaries and the clock evicts continuously.
+storage::BufferManager::Config PoolConfig() {
+  storage::BufferManager::Config cfg;
+  cfg.buffer_bytes = 768 << 10;
+  cfg.partition_rows = 4096;
+  return cfg;
+}
+
+// A pool of its own over `db`: nothing is resident until the first pin.
+struct PagedCopy {
   std::unique_ptr<storage::BufferManager> bm;
   PagedTpchDb paged;
+
+  explicit PagedCopy(const TpchDb& db)
+      : bm(std::make_unique<storage::BufferManager>(PoolConfig())),
+        paged(PagedTpchDb::Build(db, bm.get()).value()) {}
+};
+
+// One generated database, plus one paged copy shared by the tests that
+// do not depend on what earlier tests left resident.
+struct PagedWorld {
+  TpchDb db;
+  std::unique_ptr<PagedCopy> shared;
 
   PagedWorld() {
     GenConfig gen;
     gen.scale_factor = 0.01;
     db = Generate(gen).value();
-    storage::BufferManager::Config cfg;
-    cfg.buffer_bytes = 768 << 10;
-    cfg.partition_rows = 4096;
-    bm = std::make_unique<storage::BufferManager>(cfg);
-    paged = PagedTpchDb::Build(db, bm.get()).value();
+    shared = std::make_unique<PagedCopy>(db);
   }
 };
 
@@ -54,6 +68,9 @@ class PagedQueryTest : public ::testing::TestWithParam<PagedParam> {};
 TEST_P(PagedQueryTest, PagedMatchesResident) {
   auto [query, fused] = GetParam();
   PagedWorld& w = World();
+  // A cold pool per case: on the shared one, partitions left resident by
+  // earlier cases could serve the whole query without a reload.
+  PagedCopy cold(w.db);
 
   QueryConfig cfg;
   cfg.num_threads = 4;
@@ -62,10 +79,10 @@ TEST_P(PagedQueryTest, PagedMatchesResident) {
   auto resident = RunQuery(query, w.db, cfg);
   ASSERT_TRUE(resident.ok()) << resident.status().ToString();
 
-  const storage::BufferManagerStats before = w.bm->stats();
-  auto paged = RunQuery(query, w.paged.View(), cfg);
+  const storage::BufferManagerStats before = cold.bm->stats();
+  auto paged = RunQuery(query, cold.paged.View(), cfg);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
-  const storage::BufferManagerStats after = w.bm->stats();
+  const storage::BufferManagerStats after = cold.bm->stats();
 
   EXPECT_EQ(paged.value().count, resident.value().count);
   EXPECT_EQ(paged.value().group_counts, resident.value().group_counts);
@@ -93,7 +110,8 @@ TEST(PagedQueryTest, Q12GroupedPagedMatchesResident) {
     cfg.pipeline = fused;
     auto resident = RunQuery(plan::kQueryQ12Grouped, w.db, cfg);
     ASSERT_TRUE(resident.ok()) << resident.status().ToString();
-    auto paged = RunQuery(plan::kQueryQ12Grouped, w.paged.View(), cfg);
+    auto paged =
+        RunQuery(plan::kQueryQ12Grouped, w.shared->paged.View(), cfg);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
     EXPECT_EQ(paged.value().count, resident.value().count) << fused;
     EXPECT_EQ(paged.value().group_counts, resident.value().group_counts)
@@ -127,11 +145,11 @@ TEST(PagedQueryTest, ReportStorageCountersMatchManagerDeltas) {
   cfg.num_threads = 4;
   cfg.pipeline = false;
 
-  const storage::BufferManagerStats before = w.bm->stats();
-  auto r = RunQuery(3, w.paged.View(), cfg);
+  const storage::BufferManagerStats before = w.shared->bm->stats();
+  auto r = RunQuery(3, w.shared->paged.View(), cfg);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const obs::QueryReport& report = r.value().report;
-  const storage::BufferManagerStats after = w.bm->stats();
+  const storage::BufferManagerStats after = w.shared->bm->stats();
 
   EXPECT_GT(report.partitions_reloaded, 0u);
   EXPECT_GT(report.storage_decrypt_bytes, 0u);
@@ -154,7 +172,7 @@ TEST(PagedQueryTest, ReportStorageCountersMatchManagerDeltas) {
 
 TEST(PagedQueryTest, SpillImagesAreCompressed) {
   PagedWorld& w = World();
-  const storage::BufferManagerStats s = w.bm->stats();
+  const storage::BufferManagerStats s = w.shared->bm->stats();
   EXPECT_GT(s.logical_bytes, 0u);
   // TPC-H dates/keys/flags compress well; require a conservative 1.5x.
   EXPECT_GT(s.CompressionRatio(), 1.5);
