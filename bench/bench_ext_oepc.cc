@@ -127,11 +127,6 @@ PagedSetup MakePaged(const tpch::TpchDb& db, size_t pool_bytes,
   cfg.buffer_bytes = pool_bytes;
   cfg.partition_rows = partition_rows;
   cfg.compress = compress;
-  // The async prefetch worker loads opportunistically (and sometimes
-  // wastefully, when its target is evicted before use), which makes the
-  // moved-bytes counts timing-dependent. The sweep measures the
-  // deterministic demand-paging path; prefetch has its own unit tests.
-  cfg.prefetch = false;
   s.bm = std::make_unique<storage::BufferManager>(cfg);
   auto paged = tpch::PagedTpchDb::Build(db, s.bm.get());
   if (!paged.ok()) {
@@ -201,7 +196,8 @@ int main() {
        "hw-model extra", "measured extra"});
 
   // Gate accumulators over every budget that actually spilled: per-row
-  // ratios wobble with prefetch/eviction order, the aggregate does not.
+  // ratios wobble with the eviction order that concurrent scans produce,
+  // the aggregate does not.
   uint64_t raw_bytes_sum = 0, comp_bytes_sum = 0, spilled_rows = 0;
   double raw_wall_sum = 0, comp_wall_sum = 0;
   for (double frac : fracs) {

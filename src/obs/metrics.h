@@ -270,7 +270,6 @@ inline constexpr char kCtrStoragePartitionsEvicted[] =
     "storage.partitions_evicted";
 inline constexpr char kCtrStoragePartitionsReloaded[] =
     "storage.partitions_reloaded";
-inline constexpr char kCtrStoragePrefetchLoads[] = "storage.prefetch_loads";
 inline constexpr char kCtrStorageDecryptBytes[] = "storage.decrypt_bytes";
 inline constexpr char kCtrStoragePinWaits[] = "storage.pin_waits";
 /// Total nanoseconds threads spent parked on contended SDK mutexes. The

@@ -43,7 +43,9 @@ std::string QueryReport::ToJson() const {
   add("bytes_materialized", bytes_materialized);
   add("partitions_evicted", partitions_evicted);
   add("partitions_reloaded", partitions_reloaded);
-  add("storage_prefetch_loads", storage_prefetch_loads);
+  // Always 0 (loads are demand-only); kept for perfbench/metrics.py,
+  // which reads the key and raises KeyError without it.
+  add("storage_prefetch_loads", 0);
   add("storage_decrypt_bytes", storage_decrypt_bytes);
   add("storage_pin_waits", storage_pin_waits);
   add("txn_commits", txn_commits);
@@ -109,10 +111,9 @@ std::string QueryReport::ToString() const {
                 static_cast<unsigned long long>(bytes_materialized));
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "  storage: %llu reloads (+%llu prefetch), %llu evictions, "
+                "  storage: %llu reloads, %llu evictions, "
                 "%llu decrypt bytes, %llu pin waits\n",
                 static_cast<unsigned long long>(partitions_reloaded),
-                static_cast<unsigned long long>(storage_prefetch_loads),
                 static_cast<unsigned long long>(partitions_evicted),
                 static_cast<unsigned long long>(storage_decrypt_bytes),
                 static_cast<unsigned long long>(storage_pin_waits));
@@ -176,7 +177,6 @@ QueryReport QueryReportScope::Finish(std::vector<PhaseTiming> phases) {
   report.bytes_materialized = delta(kCtrBytesMaterialized);
   report.partitions_evicted = delta(kCtrStoragePartitionsEvicted);
   report.partitions_reloaded = delta(kCtrStoragePartitionsReloaded);
-  report.storage_prefetch_loads = delta(kCtrStoragePrefetchLoads);
   report.storage_decrypt_bytes = delta(kCtrStorageDecryptBytes);
   report.storage_pin_waits = delta(kCtrStoragePinWaits);
   report.txn_commits = delta(kCtrTxnCommits);

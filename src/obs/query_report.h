@@ -84,7 +84,6 @@ struct QueryReport {
   // pool during this query's window.
   uint64_t partitions_evicted = 0;
   uint64_t partitions_reloaded = 0;
-  uint64_t storage_prefetch_loads = 0;
   uint64_t storage_decrypt_bytes = 0;
   uint64_t storage_pin_waits = 0;
 

@@ -25,11 +25,6 @@ obs::Counter* CtrReloaded() {
       obs::Registry::Global().GetCounter(obs::kCtrStoragePartitionsReloaded);
   return c;
 }
-obs::Counter* CtrPrefetchLoads() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter(obs::kCtrStoragePrefetchLoads);
-  return c;
-}
 obs::Counter* CtrDecryptBytes() {
   static obs::Counter* c =
       obs::Registry::Global().GetCounter(obs::kCtrStorageDecryptBytes);
@@ -56,12 +51,6 @@ BufferManager::BufferManager(const Config& config)
       mee_(config.mee_key) {}
 
 BufferManager::~BufferManager() {
-  {
-    std::lock_guard<std::mutex> lk(pf_mu_);
-    pf_stop_ = true;
-  }
-  pf_cv_.notify_all();
-  if (pf_thread_.joinable()) pf_thread_.join();
 #ifndef NDEBUG
   std::lock_guard<std::mutex> lk(mu_);
   for (Partition* p : clock_) {
@@ -186,28 +175,6 @@ void BufferManager::Unpin(PagedColumnBase* column, size_t p) {
   if (--part.pins == 0 || capacity_waiters_ > 0) cv_.notify_all();
 }
 
-void BufferManager::Prefetch(PagedColumnBase* column, size_t p) {
-  if (!config_.prefetch || p >= column->num_partitions()) return;
-  Partition& part = column->parts_[p];
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (part.state != Partition::State::kEvicted || part.prefetch_queued) {
-      return;
-    }
-    part.prefetch_queued = true;
-  }
-  {
-    std::lock_guard<std::mutex> lk(pf_mu_);
-    if (pf_stop_) return;
-    if (!pf_started_) {
-      pf_started_ = true;
-      pf_thread_ = std::thread([this] { PrefetchWorker(); });
-    }
-    pf_queue_.push_back(&part);
-  }
-  pf_cv_.notify_one();
-}
-
 Status BufferManager::ReserveBudgetLocked(size_t need,
                                           std::unique_lock<std::mutex>& lk) {
   if (need > config_.buffer_bytes) {
@@ -302,58 +269,11 @@ Status BufferManager::LoadPartition(Partition& p, AlignedBuffer* out) {
   return Status::OK();
 }
 
-void BufferManager::PrefetchWorker() {
-  for (;;) {
-    Partition* p = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(pf_mu_);
-      pf_cv_.wait(lk, [&] { return pf_stop_ || !pf_queue_.empty(); });
-      if (pf_stop_) return;
-      p = pf_queue_.front();
-      pf_queue_.pop_front();
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    p->prefetch_queued = false;
-    if (p->state != Partition::State::kEvicted) continue;
-    const size_t need = p->image.decoded_bytes();
-    if (need > config_.buffer_bytes) continue;
-    // Opportunistic: a prefetch may evict cold partitions but never waits
-    // on pins — demand pins own that contention.
-    bool fits = true;
-    while (resident_bytes_ + need > config_.buffer_bytes) {
-      if (!TryEvictOneLocked()) {
-        fits = false;
-        break;
-      }
-    }
-    if (!fits) continue;
-    resident_bytes_ += need;
-    p->state = Partition::State::kLoading;
-    lk.unlock();
-    AlignedBuffer buf;
-    Status s = LoadPartition(*p, &buf);
-    lk.lock();
-    if (!s.ok()) {
-      p->state = Partition::State::kEvicted;
-      resident_bytes_ -= need;
-      cv_.notify_all();
-      continue;
-    }
-    p->resident = std::move(buf);
-    p->state = Partition::State::kResident;
-    p->ref = true;
-    n_prefetch_loads_.fetch_add(1, std::memory_order_relaxed);
-    CtrPrefetchLoads()->Increment();
-    cv_.notify_all();
-  }
-}
-
 BufferManagerStats BufferManager::stats() const {
   BufferManagerStats s;
   s.partitions_registered = n_registered_.load(std::memory_order_relaxed);
   s.partitions_evicted = n_evicted_.load(std::memory_order_relaxed);
   s.partitions_reloaded = n_reloaded_.load(std::memory_order_relaxed);
-  s.prefetch_loads = n_prefetch_loads_.load(std::memory_order_relaxed);
   s.decrypt_bytes = n_decrypt_bytes_.load(std::memory_order_relaxed);
   s.pin_waits = n_pin_waits_.load(std::memory_order_relaxed);
   s.logical_bytes = logical_bytes_.load(std::memory_order_relaxed);

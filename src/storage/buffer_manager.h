@@ -12,6 +12,11 @@
 // pool budget (and, through the trusted MemoryResource, against the
 // simulated enclave's EPC accounting).
 //
+// Loads happen on demand only: the thread that pins an evicted partition
+// decrypts and decodes it. Nothing is loaded speculatively, so every
+// decrypt inside the enclave serves a pin, and the manager starts no
+// thread of its own.
+//
 // Concurrency: one mutex guards partition states, the clock hand, and the
 // residency budget; loads (decrypt+decode) run outside the lock in a
 // kLoading state so concurrent pins of *other* partitions proceed. Pins
@@ -30,11 +35,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -58,7 +61,6 @@ struct BufferManagerStats {
   uint64_t partitions_registered = 0;
   uint64_t partitions_evicted = 0;   ///< resident copies dropped (spills)
   uint64_t partitions_reloaded = 0;  ///< demand loads (decrypt + decode)
-  uint64_t prefetch_loads = 0;       ///< loads issued ahead of the scan
   uint64_t decrypt_bytes = 0;  ///< untrusted-tier bytes moved through the MEE
   uint64_t pin_waits = 0;            ///< condvar waits in Pin
   size_t logical_bytes = 0;          ///< decoded size of registered columns
@@ -104,7 +106,6 @@ class PagedColumnBase {
     enum class State : uint8_t { kEvicted, kLoading, kResident };
     State state = State::kEvicted;
     bool ref = false;             ///< clock second-chance bit
-    bool prefetch_queued = false;
     uint32_t pins = 0;
     AlignedBuffer resident;       ///< decoded values, trusted pool
   };
@@ -122,13 +123,11 @@ class BufferManager {
   struct Config {
     /// Trusted pool budget for decoded resident partitions, in bytes.
     size_t buffer_bytes = 256ull << 20;
-    /// Rows per partition (the pin/evict/prefetch granule).
+    /// Rows per partition (the pin/evict granule).
     size_t partition_rows = 64 * 1024;
     /// Compress spill images (frame-of-reference / dictionary); false
     /// spills raw encrypted bytes — the bench baseline.
     bool compress = true;
-    /// Prefetch partition p+1 while a sequential scan works on p.
-    bool prefetch = true;
     /// How long Pin may wait for capacity before ResourceExhausted.
     uint64_t pin_wait_timeout_ms = 10000;
     /// Resource for decoded resident buffers (null = SimulatedEnclave();
@@ -173,11 +172,6 @@ class BufferManager {
   Result<const void*> Pin(PagedColumnBase* column, size_t p);
   void Unpin(PagedColumnBase* column, size_t p);
 
-  /// \brief Hints that partition `p` is about to be scanned: enqueues an
-  /// asynchronous load if it is evicted and capacity is available without
-  /// waiting. No-op when prefetch is disabled.
-  void Prefetch(PagedColumnBase* column, size_t p);
-
   BufferManagerStats stats() const;
   const Config& config() const { return config_; }
 
@@ -195,7 +189,6 @@ class BufferManager {
   void EvictLocked(Partition& p);
   /// Decrypt + decode `p`'s image into a trusted buffer (no lock held).
   Status LoadPartition(Partition& p, AlignedBuffer* out);
-  void PrefetchWorker();
 
   const Config config_;
   mem::MemoryResource* trusted_;
@@ -220,19 +213,10 @@ class BufferManager {
   std::atomic<uint64_t> n_registered_{0};
   std::atomic<uint64_t> n_evicted_{0};
   std::atomic<uint64_t> n_reloaded_{0};
-  std::atomic<uint64_t> n_prefetch_loads_{0};
   std::atomic<uint64_t> n_decrypt_bytes_{0};
   std::atomic<uint64_t> n_pin_waits_{0};
   std::atomic<uint64_t> logical_bytes_{0};
   std::atomic<uint64_t> spill_payload_bytes_{0};
-
-  // Prefetch worker (started lazily on first Prefetch call).
-  std::mutex pf_mu_;
-  std::condition_variable pf_cv_;
-  std::deque<Partition*> pf_queue_;
-  std::thread pf_thread_;
-  bool pf_started_ = false;
-  bool pf_stop_ = false;
 };
 
 /// \brief Typed handle to a registered column.
@@ -245,7 +229,6 @@ class PagedColumn : public PagedColumnBase {
     return static_cast<const T*>(r.value());
   }
   void UnpinPartition(size_t p) { bm_->Unpin(this, p); }
-  void PrefetchPartition(size_t p) { bm_->Prefetch(this, p); }
 };
 
 }  // namespace sgxb::storage

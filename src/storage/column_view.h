@@ -10,11 +10,10 @@
 // chunk to a committed copy-on-write version array or falls through to
 // the base view (docs/htap.md). Two access patterns cover the operators:
 //
-//  - ForEachRun: sequential scans. Pins one partition at a time, hands the
-//    kernel a (pointer, absolute base, count) run, and prefetches the next
-//    partition before working the current one so the reload decrypt hides
-//    behind the scan. With an overlay, runs additionally break at version
-//    chunk boundaries.
+//  - ForEachRun: sequential scans. Pins one partition at a time (an
+//    evicted partition is loaded by the pin itself) and hands the kernel a
+//    (pointer, absolute base, count) run. With an overlay, runs
+//    additionally break at version chunk boundaries.
 //  - ColumnReader: positional access by row id. Caches the last pinned
 //    partition (or version chunk); row-id lists produced by scans are
 //    ascending, so nearly every access hits the cached run. operator[]
@@ -92,10 +91,9 @@ class ColumnView {
 
 /// \brief Invokes `fn(run, abs_base, count)` over [begin, end): once for a
 /// resident view, once per partition run for a paged view (pinning each
-/// and prefetching its successor), and additionally split at version
-/// chunk boundaries for a versioned view (each chunk resolves to its
-/// visible version array or falls through to the base). `run[i]` is row
-/// `abs_base + i`.
+/// in turn), and additionally split at version chunk boundaries for a
+/// versioned view (each chunk resolves to its visible version array or
+/// falls through to the base). `run[i]` is row `abs_base + i`.
 template <typename T, typename Fn>
 Status ForEachRun(const ColumnView<T>& view, size_t begin, size_t end,
                   Fn&& fn) {
@@ -128,7 +126,6 @@ Status ForEachRun(const ColumnView<T>& view, size_t begin, size_t end,
   while (i < end) {
     const size_t p = i / pr;
     const size_t run_end = std::min(end, (p + 1) * pr);
-    if (run_end < end) col->PrefetchPartition(p + 1);
     auto pinned = col->PinPartition(p);
     if (!pinned.ok()) return pinned.status();
     fn(pinned.value() + (i - p * pr), i, run_end - i);
@@ -194,8 +191,8 @@ class ColumnReader {
     }
   }
 
-  /// \brief Value of row `i`. For paged views this may pin (and prefetch
-  /// the next) partition; a failed pin latches status() and yields 0.
+  /// \brief Value of row `i`. For paged views this may pin (and load) a
+  /// partition; a failed pin latches status() and yields 0.
   T operator[](size_t i) {
     // Unsigned wrap makes one compare cover both bounds.
     if (i - run_base_ < run_len_) return run_[i - run_base_];
@@ -213,7 +210,6 @@ class ColumnReader {
     }
     Release();
     const size_t p = paged_->PartitionOf(i);
-    if (p + 1 < paged_->num_partitions()) paged_->PrefetchPartition(p + 1);
     auto pinned = paged_->PinPartition(p);
     if (!pinned.ok()) {
       status_ = pinned.status();
@@ -255,7 +251,6 @@ class ColumnReader {
     }
     Release();
     const size_t p = paged_->PartitionOf(i);
-    if (p + 1 < paged_->num_partitions()) paged_->PrefetchPartition(p + 1);
     auto pinned = paged_->PinPartition(p);
     if (!pinned.ok()) {
       status_ = pinned.status();

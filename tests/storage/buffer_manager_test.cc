@@ -202,33 +202,6 @@ TEST(BufferManagerTest, ColumnReaderRandomAccessMatchesSource) {
   EXPECT_TRUE(reader.status().ok());
 }
 
-TEST(BufferManagerTest, PrefetchLoadsAheadOfThePin) {
-  // Prefetch is an asynchronous hint, so wait for the worker to complete
-  // the loads before pinning; the pins must then be hits (no further
-  // demand reloads).
-  BufferManager bm(SmallPool(256 << 10));
-  auto vals = MakeValues(8 * 4096);
-  PagedColumn<uint32_t>* col =
-      bm.AddColumn("t.c", vals.data(), vals.size()).value();
-
-  for (size_t p = 0; p < 4; ++p) col->PrefetchPartition(p);
-  for (int spin = 0; spin < 2000 && bm.stats().prefetch_loads < 4; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(bm.stats().prefetch_loads, 4u);
-
-  for (size_t p = 0; p < 4; ++p) {
-    const uint32_t* run = col->PinPartition(p).value();
-    ASSERT_EQ(run[0], vals[col->PartitionBegin(p)]);
-    col->UnpinPartition(p);
-  }
-  EXPECT_EQ(bm.stats().partitions_reloaded, 0u);
-
-  // Prefetching an already-resident partition is a no-op.
-  col->PrefetchPartition(0);
-  EXPECT_EQ(bm.stats().prefetch_loads, 4u);
-}
-
 TEST(BufferManagerTest, CapacityWaiterSurvivesPinChurn) {
   // Regression test for pin-wait fairness under HTAP-style churn: two
   // threads overlap pins on partition 0 so its pin count almost never
@@ -241,7 +214,6 @@ TEST(BufferManagerTest, CapacityWaiterSurvivesPinChurn) {
   // zero, so this pattern timed out with a spurious ResourceExhausted.
   BufferManager::Config cfg = SmallPool(20 << 10);  // fits one partition
   cfg.pin_wait_timeout_ms = 100;
-  cfg.prefetch = false;
   BufferManager bm(cfg);
   auto vals = MakeValues(2 * 4096);
   PagedColumn<uint32_t>* col =

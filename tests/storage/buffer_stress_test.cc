@@ -1,6 +1,5 @@
-// Concurrent pin/unpin/prefetch stress over a pool far smaller than the
-// working set, so eviction, demand reload, and the prefetch worker all
-// race. Run under TSan in CI (-L storage_stress_test); the invariants —
+// Concurrent pin/unpin/scan stress over a pool far smaller than the
+// working set, so eviction and concurrent demand reloads race. Run under TSan in CI (-L storage_stress_test); the invariants —
 // pinned data never changes underfoot, per-thread sums match the source —
 // catch use-after-evict as data corruption even without a sanitizer.
 
@@ -29,7 +28,7 @@ std::vector<uint32_t> MakeValues() {
   return vals;
 }
 
-TEST(BufferStressTest, ConcurrentPinEvictPrefetch) {
+TEST(BufferStressTest, ConcurrentPinEvictScan) {
   BufferManager::Config cfg;
   cfg.partition_rows = kPartRows;
   // ~5 decoded u32 partitions (8 KiB each) for 24 partitions x 8 threads.
@@ -53,10 +52,24 @@ TEST(BufferStressTest, ConcurrentPinEvictPrefetch) {
       for (int round = 0; round < kRounds; ++round) {
         const size_t p = rng.NextBounded(kParts);
         switch (rng.NextBounded(4)) {
-          case 0:
-            // Pure prefetch hint; never blocks.
-            col->PrefetchPartition(p);
+          case 0: {
+            // Sequential scan of a random row range, partition by
+            // partition, checked value by value.
+            const size_t begin = rng.NextBounded(kRows);
+            const size_t end = begin + 1 + rng.NextBounded(kRows - begin);
+            Status s = ForEachRun(
+                ColumnView<uint32_t>(col), begin, end,
+                [&](const uint32_t* run, size_t base, size_t n) {
+                  for (size_t i = 0; i < n; ++i) {
+                    if (run[i] != vals[base + i]) {
+                      failures.fetch_add(1);
+                      return;
+                    }
+                  }
+                });
+            if (!s.ok()) failures.fetch_add(1);
             break;
+          }
           case 1: {
             // Random-access reader across partition boundaries.
             ColumnReader<uint32_t> reader((ColumnView<uint32_t>(col)));

@@ -135,11 +135,10 @@ TEST(PagedQueryTest, ViewOfResidentDbMatchesToo) {
 }
 
 TEST(PagedQueryTest, ReportStorageCountersMatchManagerDeltas) {
-  // Satellite: the storage section of QueryReport is fed from the obs
-  // registry mirror of the manager's counters. A paged query's report
-  // must show the activity the manager actually performed in its window
-  // (the manager may keep prefetching slightly past the report close, so
-  // the manager delta bounds the report from above).
+  // The storage section of QueryReport is fed from the obs registry
+  // mirror of the manager's counters. Loads happen only inside pins, so
+  // a paged query's report must show exactly the activity the manager
+  // performed in its window.
   PagedWorld& w = World();
   QueryConfig cfg;
   cfg.num_threads = 4;
@@ -153,13 +152,13 @@ TEST(PagedQueryTest, ReportStorageCountersMatchManagerDeltas) {
 
   EXPECT_GT(report.partitions_reloaded, 0u);
   EXPECT_GT(report.storage_decrypt_bytes, 0u);
-  EXPECT_LE(report.partitions_reloaded,
-            after.partitions_reloaded - before.partitions_reloaded +
-                after.prefetch_loads - before.prefetch_loads);
-  EXPECT_LE(report.partitions_evicted,
+  EXPECT_EQ(report.partitions_reloaded,
+            after.partitions_reloaded - before.partitions_reloaded);
+  EXPECT_EQ(report.partitions_evicted,
             after.partitions_evicted - before.partitions_evicted);
-  EXPECT_LE(report.storage_decrypt_bytes,
+  EXPECT_EQ(report.storage_decrypt_bytes,
             after.decrypt_bytes - before.decrypt_bytes);
+  EXPECT_EQ(report.storage_pin_waits, after.pin_waits - before.pin_waits);
   // The textual rendering carries the storage line for paged queries.
   EXPECT_NE(report.ToString().find("storage:"), std::string::npos);
 
